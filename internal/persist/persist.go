@@ -112,6 +112,11 @@ type Options struct {
 	// Obs is the metrics registry for the neat_wal_* and
 	// neat_checkpoint_* series; nil disables instrumentation.
 	Obs *obs.Registry
+	// Label, when set, is attached to every one of those series, so the
+	// stores of several tenants sharing one registry stay apart (the
+	// session layer passes its capped session label). The zero Label
+	// leaves them unlabeled.
+	Label obs.Label
 	// Fault is an optional fault injector consulted at wal_append,
 	// wal_fsync, and checkpoint_write. An injected append or fsync
 	// failure leaves the log as if the append never happened (the
@@ -229,7 +234,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("persist: create data dir: %w", err)
 	}
 	s := &Store{opts: opts}
-	s.instrument(opts.Obs)
+	s.instrument(opts.Obs, opts.Label)
 
 	cks, err := listCheckpoints(opts.Dir)
 	if err != nil {
@@ -289,16 +294,20 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) instrument(reg *obs.Registry) {
-	s.mAppends = reg.Counter("neat_wal_appends_total")
-	s.mBytes = reg.Counter("neat_wal_bytes_total")
-	s.mFsyncs = reg.Counter("neat_wal_fsyncs_total")
-	s.mSegments = reg.Gauge("neat_wal_segments")
-	s.mReplayed = reg.Counter("neat_wal_replayed_records_total")
-	s.mTorn = reg.Counter("neat_wal_torn_records_total")
-	s.mCkpts = reg.Counter("neat_checkpoint_writes_total")
-	s.mCkptSeq = reg.Gauge("neat_checkpoint_seq")
-	s.mCkptB = reg.Gauge("neat_checkpoint_bytes")
+func (s *Store) instrument(reg *obs.Registry, label obs.Label) {
+	var ls []obs.Label
+	if label != (obs.Label{}) {
+		ls = []obs.Label{label}
+	}
+	s.mAppends = reg.Counter("neat_wal_appends_total", ls...)
+	s.mBytes = reg.Counter("neat_wal_bytes_total", ls...)
+	s.mFsyncs = reg.Counter("neat_wal_fsyncs_total", ls...)
+	s.mSegments = reg.Gauge("neat_wal_segments", ls...)
+	s.mReplayed = reg.Counter("neat_wal_replayed_records_total", ls...)
+	s.mTorn = reg.Counter("neat_wal_torn_records_total", ls...)
+	s.mCkpts = reg.Counter("neat_checkpoint_writes_total", ls...)
+	s.mCkptSeq = reg.Gauge("neat_checkpoint_seq", ls...)
+	s.mCkptB = reg.Gauge("neat_checkpoint_bytes", ls...)
 }
 
 // Checkpoint returns the newest valid checkpoint found at Open: the

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/persist"
+	"repro/internal/session"
 	"repro/internal/traj"
 )
 
@@ -162,5 +165,50 @@ func TestServerCleanRestartReplaysNothing(t *testing.T) {
 	}
 	if err := mem.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableSessionsLabelWALMetrics pins the per-tenant WAL and
+// checkpoint series: with two durable sessions and ingest into only
+// one, /metrics must attribute the appends to that session alone
+// rather than summing every tenant's store into one unlabeled series.
+func TestDurableSessionsLabelWALMetrics(t *testing.T) {
+	g, ds := testSetup(t)
+	reg := obs.NewRegistry()
+	s, err := Open(g, Config{Obs: reg, Persist: &persist.Options{Dir: t.TempDir(), CheckpointEvery: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, name := range []string{"a", "b"} {
+		if _, err := s.Sessions().Create(name, g, session.CreateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := httptest.NewServer(s.Handler())
+	defer h.Close()
+	if _, err := NewClient(h.URL, h.Client()).Session("a").Ingest(context.Background(), ds); err != nil {
+		t.Fatal(err)
+	}
+
+	// Scrape before any lookup: Registry.Counter would create the
+	// series it asks about.
+	var expo bytes.Buffer
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`neat_wal_appends_total{session="a"} 1`,
+		`neat_wal_appends_total{session="b"} 0`,
+		`neat_wal_appends_total{session="default"} 0`,
+		`neat_checkpoint_seq{session="a"} 1`,
+		`neat_checkpoint_seq{session="b"} 0`,
+	} {
+		if !bytes.Contains(expo.Bytes(), []byte(want)) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	if bytes.Contains(expo.Bytes(), []byte("\nneat_wal_appends_total ")) {
+		t.Error("/metrics still exports an unlabeled neat_wal_appends_total shared by every tenant")
 	}
 }

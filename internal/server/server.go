@@ -403,40 +403,43 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *sess
 		writeError(w, http.StatusTooManyRequests, "session %q rate limited: ingest QPS budget exhausted", sess.Name())
 		return
 	}
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := readBody(r.Body, r.ContentLength)
+	if err != nil {
+		sess.Metrics().IngestRejected.Inc()
+		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		return
+	}
+	// The decoder enforces the batch cap itself, stopping at the first
+	// trajectory past it, so an oversize batch is never decoded.
+	ids, trajs, points, err := decodeIngest(body, sess.MaxBatch())
+	if errors.Is(err, errBatchTooLarge) {
+		sess.Metrics().IngestRejected.Inc()
+		writeError(w, http.StatusRequestEntityTooLarge, "batch exceeds limit %d", sess.MaxBatch())
+		return
+	}
+	if err != nil {
 		sess.Metrics().IngestRejected.Inc()
 		writeError(w, http.StatusBadRequest, "decode: %v", err)
 		return
 	}
-	if len(req.Trajectories) == 0 {
+	if len(ids) == 0 {
 		sess.Metrics().IngestRejected.Inc()
 		writeError(w, http.StatusBadRequest, "no trajectories")
 		return
 	}
-	if len(req.Trajectories) > sess.MaxBatch() {
-		sess.Metrics().IngestRejected.Inc()
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(req.Trajectories), sess.MaxBatch())
-		return
-	}
 	// Rate-limit gate 2: the point budget, now that the batch size is
 	// known — still before any pipeline work.
-	points := 0
-	for _, dto := range req.Trajectories {
-		points += len(dto.Points)
-	}
 	if ok, retry := sess.Guard().AllowPoints(points); !ok {
 		sess.Metrics().ShedPointBudget.Inc()
 		w.Header().Set("Retry-After", retryAfter(retry))
 		writeError(w, http.StatusTooManyRequests, "session %q rate limited: point budget exhausted (%d points)", sess.Name(), points)
 		return
 	}
-	ids := make([]traj.ID, len(req.Trajectories))
-	for i, dto := range req.Trajectories {
-		ids[i] = traj.ID(dto.ID)
-	}
 	st, err := sess.Ingest(r.Context(), ids, func(i int) (traj.Trajectory, error) {
-		return req.Trajectories[i].toTrajectory(sess.Graph())
+		if err := checkTrajectory(sess.Graph(), trajs[i]); err != nil {
+			return traj.Trajectory{}, err
+		}
+		return trajs[i], nil
 	})
 	if err != nil {
 		var dup *session.DuplicateError

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -84,10 +85,17 @@ func TestIngestShardingMatchesSerial(t *testing.T) {
 	// serial partitioner would, in request order.
 	g, ds := testSetup(t)
 	s := New(g, Config{DataNodes: 8})
-	req := FromDataset(ds)
+	body, err := json.Marshal(FromDataset(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, trajs, _, err := decodeIngest(body, len(ds.Trajectories))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sess := s.Sessions().Default()
-	got, gotTrajs, err := sess.Preprocess(context.Background(), len(req.Trajectories), func(i int) (traj.Trajectory, error) {
-		return req.Trajectories[i].toTrajectory(g)
+	got, gotTrajs, err := sess.Preprocess(context.Background(), len(trajs), func(i int) (traj.Trajectory, error) {
+		return trajs[i], checkTrajectory(g, trajs[i])
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ package server
 import (
 	"fmt"
 
-	"repro/internal/geo"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -284,20 +283,16 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// toTrajectory converts a DTO into the internal representation,
-// validating segment ids against the graph.
-func (dto TrajectoryDTO) toTrajectory(g *roadnet.Graph) (traj.Trajectory, error) {
-	tr := traj.Trajectory{ID: traj.ID(dto.ID)}
-	for i, p := range dto.Points {
+// checkTrajectory is the per-trajectory check the data-node workers run
+// on a decoded trajectory: segment ids within the graph, then the
+// structural invariants of traj.Trajectory.Validate.
+func checkTrajectory(g *roadnet.Graph, tr traj.Trajectory) error {
+	for i, p := range tr.Points {
 		if p.Seg < 0 || int(p.Seg) >= g.NumSegments() {
-			return traj.Trajectory{}, fmt.Errorf("trajectory %d point %d: unknown segment %d", dto.ID, i, p.Seg)
+			return fmt.Errorf("trajectory %d point %d: unknown segment %d", tr.ID, i, p.Seg)
 		}
-		tr.Points = append(tr.Points, traj.Sample(roadnet.SegID(p.Seg), geo.Pt(p.X, p.Y), p.Time))
 	}
-	if err := tr.Validate(); err != nil {
-		return traj.Trajectory{}, err
-	}
-	return tr, nil
+	return tr.Validate()
 }
 
 // FromDataset converts an internal dataset into wire DTOs (used by the

@@ -256,6 +256,9 @@ func New(name string, g *roadnet.Graph, cfg Config) (*Session, error) {
 		if o.Obs == nil {
 			o.Obs = cfg.Obs
 		}
+		if o.Label == (obs.Label{}) {
+			o.Label = cfg.Label
+		}
 		if o.Fault == nil {
 			o.Fault = cfg.Fault
 		}
