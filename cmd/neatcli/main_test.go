@@ -109,3 +109,19 @@ func TestParseHelpers(t *testing.T) {
 		t.Error("parseWeights(everything) accepted")
 	}
 }
+
+// TestWALInspectIsReadOnly: `neatcli wal` must not change the directory
+// it inspects, even the .tmp debris of an interrupted checkpoint write.
+func TestWALInspectIsReadOnly(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, "ckpt-0000000000000001.ck.tmp")
+	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"wal", "-dir", dir, "-verify"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("neatcli wal deleted the debris it inspected: %v", err)
+	}
+}

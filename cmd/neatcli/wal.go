@@ -46,6 +46,10 @@ func cmdWAL(args []string) error {
 		}
 		fmt.Printf("  checkpoint %-28s seq %-6d %8d bytes  %s\n", filepath.Base(ck.Path), ck.Seq, ck.Bytes, state)
 	}
+	for _, path := range rep.Debris {
+		fmt.Printf("  debris     %-28s warning: left by an interrupted checkpoint write; the next open deletes it\n", filepath.Base(path))
+		warn++
+	}
 	if len(rep.Checkpoints) > 0 && !validCkpt {
 		// Checkpoints exist but none decodes: recovery falls back to a
 		// full WAL replay only if the log still starts at sequence 0.

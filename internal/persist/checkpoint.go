@@ -56,14 +56,18 @@ func parseCkptName(name string) (uint64, bool) {
 	return v, true
 }
 
-func encodeCheckpoint(seq uint64, payload []byte) []byte {
-	var e enc
+// ckptHeaderSize is the framing in front of a checkpoint payload.
+const ckptHeaderSize = len(ckptMagic) + 4 + 8 + 4 + 4
+
+// checkpointHeader returns the framing that precedes payload in the
+// checkpoint file for seq.
+func checkpointHeader(seq uint64, payload []byte) []byte {
+	e := enc{b: make([]byte, 0, ckptHeaderSize)}
 	e.b = append(e.b, ckptMagic...)
 	e.u32(ckptVersion)
 	e.u64(seq)
 	e.u32(uint32(len(payload)))
 	e.u32(crc32.Checksum(payload, crcTable))
-	e.b = append(e.b, payload...)
 	return e.b
 }
 
@@ -108,45 +112,63 @@ type CheckpointInfo struct {
 	Err error
 }
 
-// listCheckpoints returns the directory's checkpoint files newest
-// (highest seq) first, validated. Stray .tmp files from a crashed
-// write are removed.
-func listCheckpoints(dir string) ([]CheckpointInfo, error) {
+// checkpointFiles lists the directory's checkpoint files by name
+// alone, newest (highest seq) first, with only Path and Seq set. debris
+// holds the paths of stray .tmp files a crashed write left behind.
+func checkpointFiles(dir string) (cks []CheckpointInfo, debris []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var out []CheckpointInfo
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		name := e.Name()
 		if strings.HasSuffix(name, ".tmp") && strings.HasPrefix(name, ckptPrefix) {
-			_ = os.Remove(filepath.Join(dir, name))
+			debris = append(debris, filepath.Join(dir, name))
 			continue
 		}
-		seq, ok := parseCkptName(name)
-		if !ok {
-			continue
+		if seq, ok := parseCkptName(name); ok {
+			cks = append(cks, CheckpointInfo{Path: filepath.Join(dir, name), Seq: seq})
 		}
-		ci := CheckpointInfo{Path: filepath.Join(dir, name), Seq: seq}
-		data, err := os.ReadFile(ci.Path)
-		if err != nil {
-			ci.Err = err
-		} else {
-			ci.Bytes = int64(len(data))
-			fseq, _, err := decodeCheckpoint(data)
-			if err != nil {
-				ci.Err = err
-			} else if fseq != seq {
-				ci.Err = fmt.Errorf("persist: checkpoint %s claims seq %d", name, fseq)
-			}
-		}
-		out = append(out, ci)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
-	return out, nil
+	sort.Slice(cks, func(i, j int) bool { return cks[i].Seq > cks[j].Seq })
+	return cks, debris, nil
+}
+
+// readCheckpoint reads and validates the file ci names, filling in
+// ci.Bytes and ci.Err, and returns its payload when it is valid.
+func readCheckpoint(ci *CheckpointInfo) ([]byte, bool) {
+	data, err := os.ReadFile(ci.Path)
+	if err != nil {
+		ci.Err = err
+		return nil, false
+	}
+	ci.Bytes = int64(len(data))
+	seq, payload, err := decodeCheckpoint(data)
+	switch {
+	case err != nil:
+		ci.Err = err
+	case seq != ci.Seq:
+		ci.Err = fmt.Errorf("persist: checkpoint %s claims seq %d", filepath.Base(ci.Path), seq)
+	default:
+		return payload, true
+	}
+	return nil, false
+}
+
+// newestCheckpoint reads the files of cks (newest first) until one is
+// valid, so each file is read at most once and none past the one
+// recovery uses. skipped counts the invalid files passed over.
+func newestCheckpoint(cks []CheckpointInfo) (ci CheckpointInfo, payload []byte, skipped int, ok bool) {
+	for _, ci := range cks {
+		if payload, ok := readCheckpoint(&ci); ok {
+			return ci, payload, skipped, true
+		}
+		skipped++
+	}
+	return CheckpointInfo{}, nil, skipped, false
 }
 
 // writeCheckpointFile writes the framed checkpoint atomically and
@@ -158,11 +180,14 @@ func writeCheckpointFile(dir string, seq uint64, payload []byte) (string, error)
 	if err != nil {
 		return "", err
 	}
-	framed := encodeCheckpoint(seq, payload)
-	if _, err := f.Write(framed); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
+	// Header and payload go out as two writes: framing them into one
+	// buffer would copy the whole payload.
+	for _, b := range [][]byte{checkpointHeader(seq, payload), payload} {
+		if _, err := f.Write(b); err != nil {
+			f.Close()
+			os.Remove(tmp)
+			return "", err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/neat"
@@ -23,15 +25,25 @@ import (
 // length prefix is an error, never an OOM or a panic (FuzzWALReplay
 // and FuzzCheckpointDecode pin this).
 
-// enc is an append-only little-endian encoder.
+// enc is a little-endian encoder over a buffer its caller presizes.
+// Encoders that know their exact output size (datasets, server state)
+// allocate it once. The stream state does not size its flows first, so
+// its buffer grows as it goes, geometrically (append, slices.Grow):
+// encoding stays linear.
 type enc struct{ b []byte }
 
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (e *enc) u64(v uint64) {
-	e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+// grab extends the buffer by n bytes and returns them, for fixed-offset
+// Put* writes.
+func (e *enc) grab(n int) []byte {
+	e.b = slices.Grow(e.b, n)
+	off := len(e.b)
+	e.b = e.b[:off+n]
+	return e.b[off:]
 }
+
+func (e *enc) u8(v uint8)    { e.b = append(e.b, v) }
+func (e *enc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
+func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) i32(v int32)   { e.u32(uint32(v)) }
 func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 func (e *enc) str(s string) {
@@ -80,7 +92,7 @@ func (d *dec) u32() uint32 {
 	if p == nil {
 		return 0
 	}
-	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
+	return binary.LittleEndian.Uint32(p)
 }
 
 func (d *dec) u64() uint64 {
@@ -88,8 +100,7 @@ func (d *dec) u64() uint64 {
 	if p == nil {
 		return 0
 	}
-	return uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16 | uint64(p[3])<<24 |
-		uint64(p[4])<<32 | uint64(p[5])<<40 | uint64(p[6])<<48 | uint64(p[7])<<56
+	return binary.LittleEndian.Uint64(p)
 }
 
 func (d *dec) i32() int32   { return int32(d.u32()) }
@@ -137,55 +148,91 @@ const (
 	minFlow  = 4 + 4 + 4 + 4 + 4 // member count, route count, front, back, (one empty member would add more; this is a floor)
 )
 
-func encLocation(e *enc, l traj.Location) {
-	e.i32(int32(l.Seg))
-	e.i32(int32(l.Junction))
-	e.f64(l.Pt.X)
-	e.f64(l.Pt.Y)
-	e.f64(l.Time)
+func putLocation(p []byte, l traj.Location) {
+	_ = p[locSize-1]
+	binary.LittleEndian.PutUint32(p, uint32(int32(l.Seg)))
+	binary.LittleEndian.PutUint32(p[4:], uint32(int32(l.Junction)))
+	binary.LittleEndian.PutUint64(p[8:], math.Float64bits(l.Pt.X))
+	binary.LittleEndian.PutUint64(p[16:], math.Float64bits(l.Pt.Y))
+	binary.LittleEndian.PutUint64(p[24:], math.Float64bits(l.Time))
 }
 
-func decLocation(d *dec) traj.Location {
-	var l traj.Location
-	l.Seg = roadnet.SegID(d.i32())
-	l.Junction = roadnet.NodeID(d.i32())
-	l.Pt = geo.Point{X: d.f64(), Y: d.f64()}
-	l.Time = d.f64()
-	return l
+func getLocation(p []byte) traj.Location {
+	_ = p[locSize-1]
+	return traj.Location{
+		Seg:      roadnet.SegID(int32(binary.LittleEndian.Uint32(p))),
+		Junction: roadnet.NodeID(int32(binary.LittleEndian.Uint32(p[4:]))),
+		Pt: geo.Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
+		},
+		Time: math.Float64frombits(binary.LittleEndian.Uint64(p[24:])),
+	}
 }
+
+// putPoints writes a point count and the points at the front of p,
+// which must hold 4 + locSize*len(pts) bytes.
+func putPoints(p []byte, pts []traj.Location) {
+	binary.LittleEndian.PutUint32(p, uint32(len(pts)))
+	p = p[4:]
+	for i, l := range pts {
+		putLocation(p[i*locSize:], l)
+	}
+}
+
+// points reads a point count and the points. The count is validated
+// against the remaining bytes first, so one take covers all of them.
+func (d *dec) points() []traj.Location {
+	n := d.count(locSize)
+	if d.err != nil {
+		return nil
+	}
+	p := d.take(n * locSize)
+	pts := make([]traj.Location, n)
+	for i := range pts {
+		pts[i] = getLocation(p[i*locSize:])
+	}
+	return pts
+}
+
+func trajSize(tr traj.Trajectory) int { return minTraj + locSize*len(tr.Points) }
+func fragSize(f traj.TFragment) int   { return minFrag + locSize*len(f.Points) }
 
 func encTrajectory(e *enc, tr traj.Trajectory) {
-	e.i32(int32(tr.ID))
-	e.u32(uint32(len(tr.Points)))
-	for _, p := range tr.Points {
-		encLocation(e, p)
-	}
+	p := e.grab(trajSize(tr))
+	binary.LittleEndian.PutUint32(p, uint32(int32(tr.ID)))
+	putPoints(p[4:], tr.Points)
 }
 
 func decTrajectory(d *dec) traj.Trajectory {
 	var tr traj.Trajectory
 	tr.ID = traj.ID(d.i32())
-	n := d.count(locSize)
-	if d.err != nil {
-		return tr
-	}
-	tr.Points = make([]traj.Location, n)
-	for i := range tr.Points {
-		tr.Points[i] = decLocation(d)
-	}
+	tr.Points = d.points()
 	return tr
+}
+
+func datasetSize(ds traj.Dataset) int {
+	n := 4 + len(ds.Name) + 4
+	for _, tr := range ds.Trajectories {
+		n += trajSize(tr)
+	}
+	return n
 }
 
 // EncodeDataset serializes ds exactly (full float64 precision); the
 // WAL stores one encoded dataset per ingested batch.
 func EncodeDataset(ds traj.Dataset) []byte {
-	var e enc
+	e := enc{b: make([]byte, 0, datasetSize(ds))}
+	encDataset(&e, ds)
+	return e.b
+}
+
+func encDataset(e *enc, ds traj.Dataset) {
 	e.str(ds.Name)
 	e.u32(uint32(len(ds.Trajectories)))
 	for _, tr := range ds.Trajectories {
-		encTrajectory(&e, tr)
+		encTrajectory(e, tr)
 	}
-	return e.b
 }
 
 // DecodeDataset inverts EncodeDataset. Corrupt or truncated input is
@@ -211,13 +258,11 @@ func decDataset(d *dec) traj.Dataset {
 }
 
 func encFragment(e *enc, f traj.TFragment) {
-	e.i32(int32(f.Traj))
-	e.i32(int32(f.Seg))
-	e.i32(int32(f.Index))
-	e.u32(uint32(len(f.Points)))
-	for _, p := range f.Points {
-		encLocation(e, p)
-	}
+	p := e.grab(fragSize(f))
+	binary.LittleEndian.PutUint32(p, uint32(int32(f.Traj)))
+	binary.LittleEndian.PutUint32(p[4:], uint32(int32(f.Seg)))
+	binary.LittleEndian.PutUint32(p[8:], uint32(int32(f.Index)))
+	putPoints(p[12:], f.Points)
 }
 
 func decFragment(d *dec) traj.TFragment {
@@ -225,14 +270,7 @@ func decFragment(d *dec) traj.TFragment {
 	f.Traj = traj.ID(d.i32())
 	f.Seg = roadnet.SegID(d.i32())
 	f.Index = int(d.i32())
-	n := d.count(locSize)
-	if d.err != nil {
-		return f
-	}
-	f.Points = make([]traj.Location, n)
-	for i := range f.Points {
-		f.Points[i] = decLocation(d)
-	}
+	f.Points = d.points()
 	return f
 }
 
@@ -430,9 +468,17 @@ type ServerState struct {
 	Fragments []traj.TFragment
 }
 
-// EncodeServerState serializes a server checkpoint payload.
+// EncodeServerState serializes a server checkpoint payload into one
+// buffer of exactly its encoded size.
 func EncodeServerState(st ServerState) []byte {
-	var e enc
+	n := 8 + 4 + 4
+	for _, tr := range st.Trajs {
+		n += trajSize(tr)
+	}
+	for _, f := range st.Fragments {
+		n += fragSize(f)
+	}
+	e := enc{b: make([]byte, 0, n)}
 	e.u64(st.Batches)
 	e.u32(uint32(len(st.Trajs)))
 	for _, tr := range st.Trajs {

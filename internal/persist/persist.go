@@ -236,30 +236,20 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{opts: opts}
 	s.instrument(opts.Obs, opts.Label)
 
-	cks, err := listCheckpoints(opts.Dir)
+	cks, debris, err := checkpointFiles(opts.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("persist: list checkpoints: %w", err)
 	}
-	for _, ci := range cks {
-		if ci.Err != nil {
-			s.rec.SkippedCheckpoints++
-			continue
-		}
-		data, err := os.ReadFile(ci.Path)
-		if err != nil {
-			s.rec.SkippedCheckpoints++
-			continue
-		}
-		seq, payload, err := decodeCheckpoint(data)
-		if err != nil {
-			s.rec.SkippedCheckpoints++
-			continue
-		}
+	for _, path := range debris {
+		_ = os.Remove(path) // a crashed write's .tmp; the rename never happened
+	}
+	ci, payload, skipped, ok := newestCheckpoint(cks)
+	s.rec.SkippedCheckpoints = skipped
+	if ok {
 		s.ckpt = ci
 		s.payload = payload
-		s.rec.CheckpointSeq = seq
+		s.rec.CheckpointSeq = ci.Seq
 		s.rec.CheckpointBytes = int64(len(payload))
-		break
 	}
 
 	segs, torn, err := loadSegments(opts.Dir)
@@ -331,25 +321,12 @@ func (s *Store) Checkpoint() (seq uint64, payload []byte, ok bool) {
 // when the directory holds no usable checkpoint (recovery then replays
 // the WAL from the start).
 func (s *Store) ReloadCheckpoint() (seq uint64, payload []byte, ok bool) {
-	cks, err := listCheckpoints(s.opts.Dir)
+	cks, _, err := checkpointFiles(s.opts.Dir)
 	if err != nil {
 		return 0, nil, false
 	}
-	for _, ci := range cks {
-		if ci.Err != nil {
-			continue
-		}
-		data, err := os.ReadFile(ci.Path)
-		if err != nil {
-			continue
-		}
-		seq, payload, err := decodeCheckpoint(data)
-		if err != nil {
-			continue
-		}
-		return seq, payload, true
-	}
-	return 0, nil, false
+	ci, payload, _, ok := newestCheckpoint(cks)
+	return ci.Seq, payload, ok
 }
 
 // Replay streams every valid WAL record with Seq >= from, in sequence
@@ -416,7 +393,7 @@ func (s *Store) AppendBatch(seq uint64, batch traj.Dataset) error {
 		}
 	}
 	sg := &s.segs[len(s.segs)-1]
-	frame := frameRecord(nil, seq, EncodeDataset(batch))
+	frame := recordFrame(seq, batch)
 	if _, err := s.cur.Write(frame); err != nil {
 		s.rewindLocked(sg.size)
 		return fmt.Errorf("persist: wal append: %w", err)
@@ -560,15 +537,16 @@ func (s *Store) WriteCheckpoint(seq uint64, payload []byte) error {
 	return nil
 }
 
+// pruneCheckpointsLocked deletes every checkpoint file past the newest
+// KeepCheckpoints, ranked by the seq in its name. It reads no file: a
+// corrupt newer checkpoint still counts toward the kept set.
 func (s *Store) pruneCheckpointsLocked() {
-	cks, err := listCheckpoints(s.opts.Dir)
+	cks, _, err := checkpointFiles(s.opts.Dir)
 	if err != nil {
 		return
 	}
-	for i, ci := range cks {
-		if i >= s.opts.KeepCheckpoints {
-			_ = os.Remove(ci.Path)
-		}
+	for _, ci := range cks[min(len(cks), s.opts.KeepCheckpoints):] {
+		_ = os.Remove(ci.Path)
 	}
 }
 
@@ -686,6 +664,9 @@ type InspectReport struct {
 	Dir         string
 	Checkpoints []CheckpointInfo
 	Segments    []SegmentInfo
+	// Debris lists the stray checkpoint .tmp files an interrupted
+	// write left; recovery ignores them and the next Open deletes them.
+	Debris []string
 }
 
 // SegmentInfo describes one scanned WAL segment.
@@ -705,11 +686,14 @@ type SegmentInfo struct {
 // kill points exactly at and between frame boundaries.
 func Inspect(dir string) (InspectReport, error) {
 	rep := InspectReport{Dir: dir}
-	cks, err := listCheckpoints(dir)
+	cks, debris, err := checkpointFiles(dir)
 	if err != nil {
 		return rep, err
 	}
-	rep.Checkpoints = cks
+	for i := range cks {
+		readCheckpoint(&cks[i])
+	}
+	rep.Checkpoints, rep.Debris = cks, debris
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return rep, err

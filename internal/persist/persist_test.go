@@ -501,3 +501,40 @@ func TestServerStateCodecIdempotent(t *testing.T) {
 		t.Fatalf("decoded server state diverged: %+v", got)
 	}
 }
+
+// TestInspectLeavesDebris pins Inspect's read-only contract: the stray
+// .tmp a crashed checkpoint write leaves is reported, not deleted, and
+// only Open cleans it up.
+func TestInspectLeavesDebris(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCheckpoint(1, EncodeServerState(ServerState{Batches: 1})); err != nil {
+		t.Fatal(err)
+	}
+	s.Abort()
+	tmp := filepath.Join(dir, ckptName(2)+".tmp")
+	if err := os.WriteFile(tmp, []byte("half a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Debris, []string{tmp}) {
+		t.Errorf("Inspect debris = %q, want [%s]", rep.Debris, tmp)
+	}
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("Inspect deleted %s: %v", filepath.Base(tmp), err)
+	}
+	s2, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("Open left %s behind (stat err %v)", filepath.Base(tmp), err)
+	}
+}

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/traj"
 )
 
 // WAL on-disk layout. A log is a directory of segment files named
@@ -82,18 +85,24 @@ func parseSegName(name string) (uint64, bool) {
 	return v, true
 }
 
-// frameRecord appends one framed record to buf and returns it.
-func frameRecord(buf []byte, seq uint64, body []byte) []byte {
-	var p enc
-	p.u8(recBatch)
-	p.u64(seq)
-	p.b = append(p.b, body...)
-	var f enc
-	f.b = buf
-	f.u32(uint32(len(p.b)))
-	f.u32(crc32.Checksum(p.b, crcTable))
-	f.b = append(f.b, p.b...)
-	return f.b
+// recordFrame frames one batch record for seq. The dataset is encoded
+// in place behind the frame and record headers, into a buffer of
+// exactly the frame's size, so the body is never copied.
+func recordFrame(seq uint64, ds traj.Dataset) []byte {
+	e := enc{b: make([]byte, frameHeader, frameHeader+recHeader+datasetSize(ds))}
+	e.u8(recBatch)
+	e.u64(seq)
+	encDataset(&e, ds)
+	sealFrame(e.b)
+	return e.b
+}
+
+// sealFrame fills in the length and CRC of the frame whose payload
+// follows its frameHeader bytes.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
 }
 
 // Record is one decoded WAL record, with its position inside its
